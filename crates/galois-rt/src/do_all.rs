@@ -195,6 +195,17 @@ where
     });
 }
 
+/// The worker deques of a balanced loop and their stealers. Kept
+/// between [`do_all_range_tasks`] calls, so a warm loop allocates
+/// nothing.
+struct DequeSet {
+    workers: Vec<substrate::sync::Mutex<Option<substrate::deque::Worker<Range<usize>>>>>,
+    stealers: Vec<substrate::deque::Stealer<Range<usize>>>,
+}
+
+/// The set the last [`do_all_range_tasks`] call finished with.
+static IDLE_DEQUES: std::sync::Mutex<Option<DequeSet>> = std::sync::Mutex::new(None);
+
 /// Runs `f(range)` once for every range of `ranges`, in parallel, with
 /// each whole range as the unit of work on the same stealing deques as
 /// [`do_all_ranges`].
@@ -225,22 +236,35 @@ where
         return;
     }
 
-    use substrate::deque::{Steal, Stealer, Worker};
+    use substrate::deque::{Steal, Worker};
     let nthreads = nthreads.min(ranges.len());
-    let workers: Vec<Worker<Range<usize>>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
+    let mut set = IDLE_DEQUES
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
+        .unwrap_or(DequeSet {
+            workers: Vec::new(),
+            stealers: Vec::new(),
+        });
+    while set.workers.len() < nthreads {
+        let w = Worker::new_lifo();
+        set.stealers.push(w.stealer());
+        set.workers.push(substrate::sync::Mutex::new(Some(w)));
+    }
+    let workers = &set.workers[..nthreads];
+    let stealers = &set.stealers[..nthreads];
     // Round-robin seeding: chunk k starts on thread k % nthreads, so with
     // no stealing the assignment is deterministic and cost-balanced (the
     // caller already equalized per-chunk cost).
     for (k, r) in ranges.iter().enumerate() {
         if !r.is_empty() {
-            workers[k % nthreads].push(r.clone());
+            workers[k % nthreads]
+                .lock()
+                .as_ref()
+                .expect("idle deques are complete")
+                .push(r.clone());
         }
     }
-    let stealers: Vec<Stealer<Range<usize>>> = workers.iter().map(Worker::stealer).collect();
-    let workers: Vec<substrate::sync::Mutex<Option<Worker<Range<usize>>>>> = workers
-        .into_iter()
-        .map(|w| substrate::sync::Mutex::new(Some(w)))
-        .collect();
     let steals = AtomicUsize::new(0);
 
     global_pool().region(nthreads, |tid| {
@@ -287,7 +311,16 @@ where
         if my_steals > 0 {
             steals.fetch_add(my_steals, Ordering::Relaxed);
         }
+        *workers[tid].lock() = Some(local);
     });
+    // Keep the set for the next balanced loop only when every deque came
+    // back drained; one whose owner panicked is dropped, never reused.
+    let drained = workers
+        .iter()
+        .all(|w| w.lock().as_ref().is_some_and(|w| w.pop().is_none()));
+    if drained {
+        *IDLE_DEQUES.lock().unwrap_or_else(|e| e.into_inner()) = Some(set);
+    }
     if let Some(started) = started {
         record_loop(
             LoopKind::DoAllBalanced,

@@ -49,6 +49,16 @@ pub trait SemiringOps<T>: Copy + Send + Sync + 'static {
     fn add_absorbing(self) -> Option<T> {
         None
     }
+
+    /// Whether ⊕ is idempotent (`x ⊕ x = x`: min, max, or). An
+    /// idempotent, commutative and associative ⊕ gives the same result
+    /// in any fold order, on floats too; kernels may then fold through
+    /// shared accumulators in arrival order. `false` (the default) is
+    /// always safe.
+    #[inline]
+    fn add_idempotent(self) -> bool {
+        false
+    }
 }
 
 macro_rules! binop {
@@ -135,7 +145,8 @@ impl<T: ScalarNum> MonoidOp<T> for Times {
 
 macro_rules! semiring {
     ($(#[$doc:meta])* $name:ident, add: |$aa:ident, $ab:ident| $add:expr,
-     identity: $id:expr, mul: |$ma:ident, $mb:ident| $mul:expr) => {
+     identity: $id:expr, mul: |$ma:ident, $mb:ident| $mul:expr,
+     idempotent: $idem:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct $name;
@@ -155,6 +166,11 @@ macro_rules! semiring {
             fn mul(self, $ma: T, $mb: T) -> T {
                 $mul
             }
+
+            #[inline]
+            fn add_idempotent(self) -> bool {
+                $idem
+            }
         }
     };
 }
@@ -162,12 +178,14 @@ macro_rules! semiring {
 semiring!(
     /// The arithmetic semiring `(+, *)`.
     PlusTimes,
-    add: |a, b| a.plus(b), identity: T::ZERO, mul: |a, b| a.times(b)
+    add: |a, b| a.plus(b), identity: T::ZERO, mul: |a, b| a.times(b),
+    idempotent: false
 );
 semiring!(
     /// The tropical semiring `(min, +)` of shortest paths.
     MinPlus,
-    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |a, b| a.plus(b)
+    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |a, b| a.plus(b),
+    idempotent: true
 );
 /// The boolean semiring `(∨, ∧)` interpreted over any scalar via non-zero
 /// truthiness. Written out (not via the macro) because `∨` has an
@@ -205,42 +223,54 @@ impl<T: ScalarNum> SemiringOps<T> for LorLand {
     fn add_absorbing(self) -> Option<T> {
         Some(T::ONE)
     }
+
+    #[inline]
+    fn add_idempotent(self) -> bool {
+        true
+    }
 }
 semiring!(
     /// `(+, pair)`: counts structural intersections (SandiaDot tc).
     PlusPair,
-    add: |a, b| a.plus(b), identity: T::ZERO, mul: |_a, _b| T::ONE
+    add: |a, b| a.plus(b), identity: T::ZERO, mul: |_a, _b| T::ONE,
+    idempotent: false
 );
 semiring!(
     /// `(+, ∧)`: ktruss support counting.
     PlusLand,
     add: |a, b| a.plus(b), identity: T::ZERO,
-    mul: |a, b| if a.is_nonzero() && b.is_nonzero() { T::ONE } else { T::ZERO }
+    mul: |a, b| if a.is_nonzero() && b.is_nonzero() { T::ONE } else { T::ZERO },
+    idempotent: false
 );
 semiring!(
     /// `(min, second)`: value propagation for FastSV.
     MinSecond,
-    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |_a, b| b
+    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |_a, b| b,
+    idempotent: true
 );
 semiring!(
     /// `(min, first)`: pull-style value propagation.
     MinFirst,
-    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |a, _b| a
+    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |a, _b| a,
+    idempotent: true
 );
 semiring!(
     /// `(max, second)`: neighborhood maxima (Luby's MIS rounds).
     MaxSecond,
-    add: |a, b| a.max_val(b), identity: T::ZERO, mul: |_a, b| b
+    add: |a, b| a.max_val(b), identity: T::ZERO, mul: |_a, b| b,
+    idempotent: true
 );
 semiring!(
     /// `(+, second)`: push-style contribution spreading (pagerank push).
     PlusSecond,
-    add: |a, b| a.plus(b), identity: T::ZERO, mul: |_a, b| b
+    add: |a, b| a.plus(b), identity: T::ZERO, mul: |_a, b| b,
+    idempotent: false
 );
 semiring!(
     /// `(+, first)`: pull-style contribution gathering.
     PlusFirst,
-    add: |a, b| a.plus(b), identity: T::ZERO, mul: |a, _b| a
+    add: |a, b| a.plus(b), identity: T::ZERO, mul: |a, _b| a,
+    idempotent: false
 );
 
 #[cfg(test)]

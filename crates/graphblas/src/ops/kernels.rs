@@ -21,6 +21,17 @@
 //!   dense-frontier representation; wins over the dense accumulator's
 //!   per-slot drain when the frontier is dense).
 //!
+//! Float ⊕ (a `PlusTimes` sum over `f32`/`f64`) is order-sensitive:
+//! rounding makes the sum depend on the order its terms are folded in.
+//! Such a semiring never folds through the shared dense or bitmap
+//! accumulators, whose fold order is the threads' arrival order. Any call
+//! that would scatter into them runs [`KernelChoice::Pull`] instead, in
+//! every mode and under every hint (see [`order_sensitive`]): pull is
+//! owner-computes, one task per output folding its sources in ascending
+//! order, so the result is the serial fold at any thread count.
+//! [`KernelChoice::PushSparse`] folds each output's terms in ascending
+//! source order too, so it stays available.
+//!
 //! Selection is resolved in precedence order: a per-call
 //! [`Descriptor::kernel`](crate::descriptor::Descriptor) hint, then the
 //! process-wide [`kernel_mode`] (seeded from `STUDY_KERNEL`), then — under
@@ -39,7 +50,7 @@ use crate::error::GrbError;
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::{AtomicAccumulator, BitmapAccumulator};
+use crate::util::{AtomicAccumulator, BitmapAccumulator, ParSlice};
 use crate::vector::Vector;
 use galois_rt::substrate::PerThread;
 use perfmon::trace::KernelChoice;
@@ -191,6 +202,24 @@ impl Selection {
     }
 }
 
+/// Whether `semiring`'s ⊕ over `T` gives a result that depends on the
+/// order its terms are folded in: a float sum. Integer sums are exact and
+/// idempotent monoids (min, max, or) are order-free, so those may fold
+/// through the shared accumulators in arrival order; an order-sensitive
+/// ⊕ must not.
+pub(crate) fn order_sensitive<T: Scalar, S: SemiringOps<T>>(semiring: S) -> bool {
+    T::IS_FLOAT && !semiring.add_idempotent()
+}
+
+/// Sends an order-sensitive ⊕ away from the shared-accumulator scatters
+/// (dense and bitmap) to the owner-computes pull.
+fn owner_computes(choice: KernelChoice, sensitive: bool) -> KernelChoice {
+    match choice {
+        KernelChoice::PushDense | KernelChoice::Bitmap if sensitive => KernelChoice::Pull,
+        other => other,
+    }
+}
+
 /// Resolves a descriptor hint or a non-auto mode; `None` means run the
 /// heuristic. `vxm` and `mxv` differ only in what [`KernelMode::Push`]
 /// (the paper's fixed strategy) means.
@@ -296,9 +325,10 @@ pub(crate) fn pick_kernel(
 
 /// Worst-case accumulator bytes `choice` would materialize on these
 /// operands — the quantity [`mem_budget`] is enforced against.
-/// `paper_pull` marks `mxv`, whose pull kernel materializes dense value
-/// and presence buffers over the output dimension rather than emitted
-/// pairs.
+/// `paper_pull` marks `mxv`, whose pull kernel ([`pull_dense`])
+/// materializes dense value and presence buffers over the output
+/// dimension rather than emitted pairs; when it can recycle the output's
+/// own store instead (see [`pull_in_place`]) the selector projects 0.
 pub(crate) fn projected_bytes(
     choice: KernelChoice,
     frontier_degree: u64,
@@ -325,12 +355,23 @@ pub(crate) fn projected_bytes(
     }
 }
 
+/// Whether `mxv`'s pull writes into `w`'s own dense store and allocates
+/// nothing: workspace recycling is on, the call overwrites `w`, and `w`
+/// already holds a dense store (whose length is `w.size()`, the output
+/// dimension). Otherwise [`pull_dense`] allocates fresh value and
+/// presence buffers.
+pub(crate) fn pull_in_place<T: Scalar>(w: &Vector<T>, overwrite: bool) -> bool {
+    overwrite && crate::workspace::enabled() && w.dense_parts().is_some()
+}
+
 /// Applies the byte budget to a preliminary choice. The preferred kernel
 /// stands when its projection fits. A `forced` choice (descriptor hint or
 /// non-auto mode) that does not fit errors immediately — the caller asked
 /// for that kernel specifically. Under `auto`, the least-materializing
-/// kernel that fits is substituted; when none fits the op reports the
-/// cheapest kernel's requirement.
+/// kernel that fits is substituted (never the dense scatter for an
+/// order-`sensitive` ⊕); when none fits the op reports the cheapest
+/// kernel's requirement. `pull_in_place` projects 0 bytes for
+/// [`KernelChoice::Pull`] (see [`pull_in_place`]).
 #[allow(clippy::too_many_arguments)]
 fn fit_to_budget(
     preferred: KernelChoice,
@@ -341,9 +382,14 @@ fn fit_to_budget(
     pair_bytes: u64,
     val_bytes: u64,
     paper_pull: bool,
+    pull_in_place: bool,
     forced: bool,
+    sensitive: bool,
 ) -> Result<KernelChoice, GrbError> {
     let proj = |c| {
+        if pull_in_place && c == KernelChoice::Pull {
+            return 0;
+        }
         projected_bytes(
             c,
             frontier_degree,
@@ -369,6 +415,7 @@ fn fit_to_budget(
         KernelChoice::PushDense,
     ]
     .into_iter()
+    .filter(|&c| owner_computes(c, sensitive) == c)
     .min_by_key(|&c| proj(c))
     .expect("candidate list is non-empty");
     if proj(cheapest) <= limit {
@@ -388,14 +435,16 @@ fn fit_to_budget(
 ///
 /// Returns [`GrbError::ResourceExhausted`] when a [`mem_budget`] is
 /// active and no viable kernel's projected accumulator fits it.
-pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
+pub(crate) fn select_vxm<T: Scalar, M: Scalar, S: SemiringOps<T>>(
+    semiring: S,
     u: &Vector<T>,
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<Selection, GrbError> {
     let budget = mem_budget();
-    let forced = forced_choice(desc, true);
+    let sensitive = order_sensitive(semiring);
+    let forced = forced_choice(desc, true).map(|c| owner_computes(c, sensitive));
     if budget.is_none() {
         // Zero-overhead path: forced choices skip the operand scans.
         if let Some(choice) = forced {
@@ -409,14 +458,17 @@ pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
     let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
     let val_bytes = std::mem::size_of::<T>() as u64;
     let preferred = forced.unwrap_or_else(|| {
-        pick_kernel(
-            frontier_degree,
-            matrix_nnz,
-            out_dim as u64,
-            mask_admitted,
-            pair_bytes,
-            val_bytes,
-            false,
+        owner_computes(
+            pick_kernel(
+                frontier_degree,
+                matrix_nnz,
+                out_dim as u64,
+                mask_admitted,
+                pair_bytes,
+                val_bytes,
+                false,
+            ),
+            sensitive,
         )
     });
     let choice = match budget {
@@ -430,7 +482,9 @@ pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
             pair_bytes,
             val_bytes,
             false,
+            false,
             forced.is_some(),
+            sensitive,
         )?,
     };
     if forced.is_some() {
@@ -449,19 +503,23 @@ pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
 /// Selects the kernel for `w<mask> = A·u`. The frontier degree sum is
 /// estimated as `u.nvals() * avg_degree` (exact per-column degrees would
 /// require the transpose the push kernels are trying to avoid building).
+/// `pull_in_place` is [`pull_in_place`] of the call's output.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::ResourceExhausted`] when a [`mem_budget`] is
 /// active and no viable kernel's projected accumulator fits it.
-pub(crate) fn select_mxv<T: Scalar, M: Scalar>(
+pub(crate) fn select_mxv<T: Scalar, M: Scalar, S: SemiringOps<T>>(
+    semiring: S,
     u: &Vector<T>,
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
+    pull_in_place: bool,
 ) -> Result<Selection, GrbError> {
     let budget = mem_budget();
-    let forced = forced_choice(desc, false);
+    let sensitive = order_sensitive(semiring);
+    let forced = forced_choice(desc, false).map(|c| owner_computes(c, sensitive));
     if budget.is_none() {
         if let Some(choice) = forced {
             return Ok(Selection::forced(choice));
@@ -478,14 +536,17 @@ pub(crate) fn select_mxv<T: Scalar, M: Scalar>(
     let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
     let val_bytes = std::mem::size_of::<T>() as u64;
     let preferred = forced.unwrap_or_else(|| {
-        pick_kernel(
-            frontier_degree,
-            matrix_nnz,
-            out_dim as u64,
-            mask_admitted,
-            pair_bytes,
-            val_bytes,
-            true,
+        owner_computes(
+            pick_kernel(
+                frontier_degree,
+                matrix_nnz,
+                out_dim as u64,
+                mask_admitted,
+                pair_bytes,
+                val_bytes,
+                true,
+            ),
+            sensitive,
         )
     });
     let choice = match budget {
@@ -499,7 +560,9 @@ pub(crate) fn select_mxv<T: Scalar, M: Scalar>(
             pair_bytes,
             val_bytes,
             true,
+            pull_in_place,
             forced.is_some(),
+            sensitive,
         )?,
     };
     if forced.is_some() {
@@ -514,47 +577,55 @@ pub(crate) fn select_mxv<T: Scalar, M: Scalar>(
 }
 
 /// The kernel `vxm` would run for these operands (hint > mode > budget >
-/// heuristic). Exposed so tests can assert that `auto` delegates to the
+/// heuristic; an order-sensitive ⊕ never gets a shared-accumulator
+/// scatter). Exposed so tests can assert that `auto` delegates to the
 /// kernel the cost model names.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::ResourceExhausted`] exactly when the
 /// corresponding `vxm` call would.
-pub fn vxm_kernel_choice<T: Scalar, M: Scalar>(
+pub fn vxm_kernel_choice<T: Scalar, M: Scalar, S: SemiringOps<T>>(
+    semiring: S,
     u: &Vector<T>,
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<KernelChoice, GrbError> {
-    Ok(select_vxm(u, a, mask, desc)?.choice)
+    Ok(select_vxm(semiring, u, a, mask, desc)?.choice)
 }
 
-/// The kernel `mxv` would run for these operands (hint > mode > budget >
-/// heuristic).
+/// The kernel `mxv` would run for these operands into an output that
+/// holds no dense store to recycle (hint > mode > budget > heuristic; an
+/// order-sensitive ⊕ never gets a shared-accumulator scatter).
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::ResourceExhausted`] exactly when the
-/// corresponding `mxv` call would.
-pub fn mxv_kernel_choice<T: Scalar, M: Scalar>(
+/// corresponding `mxv` call into such an output would.
+pub fn mxv_kernel_choice<T: Scalar, M: Scalar, S: SemiringOps<T>>(
+    semiring: S,
     u: &Vector<T>,
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<KernelChoice, GrbError> {
-    Ok(select_mxv(u, a, mask, desc)?.choice)
+    Ok(select_mxv(semiring, u, a, mask, desc, false)?.choice)
 }
 
 /// SAXPY scatter of `entries` through the rows of `a` into per-thread
 /// sparse pair lanes (the GraphMat SPA shape): no dense intermediate.
 ///
 /// Returns the compacted `(index, value)` entries in ascending index
-/// order plus the accumulator footprint in bytes (total pairs emitted,
-/// which is the mask-passing contribution count — independent of thread
-/// schedule). The compaction sorts by `(index, bit pattern)` before
-/// folding with ⊕ so the fold order, and hence every float result, is
-/// deterministic across thread counts.
+/// order plus the accumulator footprint in bytes (total contributions
+/// emitted times their lane-element size, which is independent of thread
+/// schedule). The compaction sorts before folding with ⊕ so the fold
+/// order never depends on the schedule: an order-sensitive ⊕ (see
+/// [`order_sensitive`]) tags each contribution with its source's rank
+/// in `entries` and folds every output's terms in ascending source
+/// order from the ⊕ identity — the serial fold, bit for bit (signed
+/// zeros included); any other ⊕ sorts by
+/// `(index, bit pattern)`.
 ///
 /// `mul` maps `(frontier value, matrix value)` to a contribution, letting
 /// `mxv` flip the semiring's ⊗ argument order.
@@ -573,7 +644,62 @@ where
     S: SemiringOps<T>,
     R: Runtime,
 {
-    let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
+    if order_sensitive(semiring) {
+        let mut tagged =
+            scatter_lanes(entries, a, mask, desc, &mul, rt, |p, j, v| (j, p as u32, v));
+        let acc_bytes = (tagged.len() * std::mem::size_of::<(u32, u32, T)>()) as u64;
+        tagged.sort_unstable_by_key(|&(j, p, _)| (j, p));
+        let sorted = tagged.into_iter().map(|(j, _, v)| (j, v));
+        (fold_sorted(sorted, semiring, true), acc_bytes)
+    } else {
+        let mut pairs = scatter_lanes(entries, a, mask, desc, &mul, rt, |_, j, v| (j, v));
+        let acc_bytes = (pairs.len() * std::mem::size_of::<(u32, T)>()) as u64;
+        pairs.sort_unstable_by_key(|&(j, v)| (j, v.to_bits64()));
+        (fold_sorted(pairs.into_iter(), semiring, false), acc_bytes)
+    }
+}
+
+/// Folds index-sorted contributions with ⊕, one output per run of equal
+/// indices, in the order given. `from_identity` starts every output's
+/// fold at `add_identity()`, as pull and the serial fold do: for a float
+/// sum `0.0 + -0.0` is `+0.0`, so starting from the first term would
+/// keep a `-0.0` the other kernels do not.
+fn fold_sorted<T: Scalar, S: SemiringOps<T>>(
+    sorted: impl Iterator<Item = (u32, T)>,
+    semiring: S,
+    from_identity: bool,
+) -> Vec<(u32, T)> {
+    let mut out: Vec<(u32, T)> = Vec::new();
+    for (j, v) in sorted {
+        perfmon::instr(1);
+        match out.last_mut() {
+            Some(last) if last.0 == j => last.1 = semiring.add(last.1, v),
+            _ if from_identity => out.push((j, semiring.add(semiring.add_identity(), v))),
+            _ => out.push((j, v)),
+        }
+    }
+    out
+}
+
+/// The scatter loop of [`scatter_sparse`]: every mask-passing
+/// contribution of source `entries[p]` to output `j` is pushed as
+/// `tag(p, j, value)` onto the running thread's lane; the lanes come
+/// back concatenated in an unspecified order.
+fn scatter_lanes<T, M, R, E: Send>(
+    entries: &[(u32, T)],
+    a: &Matrix<T>,
+    mask: Option<&Vector<M>>,
+    desc: &Descriptor,
+    mul: &(impl Fn(T, T) -> T + Sync),
+    rt: R,
+    tag: impl Fn(usize, u32, T) -> E + Sync,
+) -> Vec<E>
+where
+    T: Scalar,
+    M: Scalar,
+    R: Runtime,
+{
+    let lanes: PerThread<Vec<E>> = PerThread::new(Vec::new);
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
         perfmon::touch_ref(&entries[p]);
@@ -587,21 +713,10 @@ where
                     continue;
                 }
             }
-            lanes.with(|lane| lane.push((j, mul(x, av))));
+            lanes.with(|lane| lane.push(tag(p, j, mul(x, av))));
         }
     });
-    let mut pairs: Vec<(u32, T)> = lanes.into_inner().into_iter().flatten().collect();
-    let acc_bytes = (pairs.len() * std::mem::size_of::<(u32, T)>()) as u64;
-    pairs.sort_unstable_by_key(|&(j, v)| (j, v.to_bits64()));
-    let mut out: Vec<(u32, T)> = Vec::new();
-    for (j, v) in pairs {
-        perfmon::instr(1);
-        match out.last_mut() {
-            Some(last) if last.0 == j => last.1 = semiring.add(last.1, v),
-            _ => out.push((j, v)),
-        }
-    }
-    (out, acc_bytes)
+    lanes.into_inner().into_iter().flatten().collect()
 }
 
 /// SAXPY scatter of `entries` through the rows of `a` into the dense
@@ -812,6 +927,110 @@ where
     let acc_bytes = (out.len() * std::mem::size_of::<(u32, T)>()) as u64;
     out.sort_unstable_by_key(|&(j, _)| j);
     (out, acc_bytes)
+}
+
+/// Owner-computes pull straight into `w`'s dense store: output `j` folds
+/// `⊕_k mul(u(k), at(j,k))` over the rows of `at` in ascending `k`, one
+/// task per output, so the result is the serial fold at any thread count
+/// and under any ⊕. Mask-rejected outputs are skipped; with `early_exit`
+/// a fold stops once it reaches the monoid's absorbing element. No
+/// per-thread lanes, sort or entry store: each task writes its slot.
+/// The loop is not cache-blocked: on the study graphs the tiled pull
+/// (`super::tiling`) measured slower than this flop-balanced row loop.
+///
+/// `overwrite` discards `w`'s previous contents (its dense store is
+/// recycled as the output when workspace recycling is on); otherwise
+/// previous entries survive wherever no new value was written. Returns
+/// the footprint of the dense value and presence buffers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pull_dense<T, M, S, R>(
+    w: &mut Vector<T>,
+    u: &Vector<T>,
+    at: &Matrix<T>,
+    mask: Option<&Vector<M>>,
+    desc: &Descriptor,
+    semiring: S,
+    mul: impl Fn(T, T) -> T + Sync,
+    early_exit: bool,
+    overwrite: bool,
+    rt: R,
+) -> u64
+where
+    T: Scalar,
+    M: Scalar,
+    S: SemiringOps<T>,
+    R: Runtime,
+{
+    let n = at.nrows();
+    let udense = u.dense_parts();
+    let absorbing = if early_exit {
+        semiring.add_absorbing()
+    } else {
+        None
+    };
+    let bytes = (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
+    // In the overwrite case `w`'s previous contents are dead, so
+    // recycling can reclaim its dense store as the output buffer; the
+    // merge case must keep them readable below.
+    let (mut vals, mut present) = if overwrite {
+        take_or_alloc_dense(w, n)
+    } else {
+        (vec![T::ZERO; n], vec![false; n])
+    };
+    {
+        let pv = ParSlice::new(&mut vals);
+        let pp = ParSlice::new(&mut present);
+        let row = |j: usize| {
+            if let Some(m) = mask {
+                perfmon::instr(1);
+                let pass = m.mask_at(j as u32, desc.mask_structural) != desc.mask_complement;
+                if !pass {
+                    return;
+                }
+            }
+            let mut acc = semiring.add_identity();
+            let mut any = false;
+            for (k, &av) in at.row_pairs(j as u32) {
+                perfmon::instr(2);
+                perfmon::touch_ref(&av);
+                let x = match udense {
+                    Some((uvals, upresent)) => {
+                        perfmon::touch_ref(&uvals[k as usize]);
+                        upresent[k as usize].then(|| uvals[k as usize])
+                    }
+                    None => u.get(k),
+                };
+                if let Some(x) = x {
+                    acc = semiring.add(acc, mul(x, av));
+                    any = true;
+                    if absorbing == Some(acc) {
+                        break;
+                    }
+                }
+            }
+            if any {
+                // SAFETY: one writer per row.
+                unsafe {
+                    perfmon::touch(pv.addr_of(j));
+                    pv.write(j, acc);
+                    pp.write(j, true);
+                }
+            }
+        };
+        rt.parallel_for_balanced(n, |j| at.row_nvals(j as u32) as u64 + 1, row);
+    }
+    if !overwrite {
+        // Merge: keep previous entries where no new value was written.
+        for (i, x) in w.iter() {
+            perfmon::instr(1);
+            if !present[i as usize] {
+                vals[i as usize] = x;
+                present[i as usize] = true;
+            }
+        }
+    }
+    w.set_dense(vals, present);
+    bytes
 }
 
 /// Commits sorted `(index, value)` entries into `w` under the same
@@ -1029,6 +1248,8 @@ mod tests {
             8,
             false,
             false,
+            false,
+            false,
         )
         .unwrap();
         assert_eq!(c, KernelChoice::PushSparse);
@@ -1044,6 +1265,8 @@ mod tests {
             100,
             16,
             8,
+            false,
+            false,
             false,
             false,
         )
@@ -1070,7 +1293,9 @@ mod tests {
             16,
             8,
             false,
+            false,
             true,
+            false,
         )
         .unwrap_err();
         assert!(matches!(
@@ -1083,6 +1308,36 @@ mod tests {
     }
 
     #[test]
+    fn in_place_pull_projects_nothing() {
+        // mxv's pull into a recyclable dense output allocates nothing, so
+        // it fits even a zero budget; into a fresh output it needs its
+        // dense value + presence buffers.
+        let fit = |in_place| {
+            fit_to_budget(
+                KernelChoice::Pull,
+                0,
+                100,
+                100,
+                100,
+                16,
+                8,
+                true,
+                in_place,
+                false,
+                true,
+            )
+        };
+        assert_eq!(fit(true), Ok(KernelChoice::Pull));
+        assert_eq!(
+            fit(false),
+            Err(GrbError::ResourceExhausted {
+                required: 900,
+                budget: 0
+            })
+        );
+    }
+
+    #[test]
     fn fitting_preferred_choice_stands() {
         let c = fit_to_budget(
             KernelChoice::PushDense,
@@ -1092,6 +1347,8 @@ mod tests {
             100,
             16,
             8,
+            false,
+            false,
             false,
             false,
         )

@@ -10,7 +10,10 @@
 //! [`super::kernels::KernelMode::Push`] (or a forced descriptor hint)
 //! they run exactly the paper's single-strategy kernels above, while
 //! `auto` may substitute a sparse-accumulator scatter or a masked pull
-//! over the cached transpose when operand sparsity favors it.
+//! over the cached transpose when operand sparsity favors it. A float ⊕
+//! never scatters into a shared accumulator: in every mode it runs the
+//! owner-computes pull (or the source-ordered sparse scatter), so float
+//! results do not depend on the thread count.
 
 use super::kernels;
 use crate::binops::SemiringOps;
@@ -19,7 +22,7 @@ use crate::error::{dim_mismatch, GrbError};
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::{AtomicAccumulator, ParSlice};
+use crate::util::AtomicAccumulator;
 use crate::vector::Vector;
 use perfmon::trace::KernelChoice;
 
@@ -82,7 +85,7 @@ where
     // (from the workspace pool when recycling is on).
     let entries: Vec<(u32, T)> = kernels::take_entries(u, rt);
     let input_nnz = entries.len();
-    let selection = kernels::select_vxm(u, a, mask, desc)?;
+    let selection = kernels::select_vxm(semiring, u, a, mask, desc)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
             required: kernels::projected_bytes(
@@ -105,6 +108,17 @@ where
             kernels::store_entries(w, out, desc.replace);
             bytes
         }
+        KernelChoice::Pull if desc.replace && mask.is_none() => {
+            // Every output is admitted: pull writes the dense store
+            // directly, then the store takes the shape the entry count
+            // prefers, as `store_entries` would have chosen.
+            let bytes =
+                kernels::pull_dense(w, u, a.transpose(), mask, desc, semiring, mul, true, true, rt);
+            if !crate::vector::dense_preferred(w.nvals(), w.size()) {
+                w.to_sparse();
+            }
+            bytes
+        }
         KernelChoice::Pull => {
             let (out, bytes) =
                 kernels::pull_gather(u, a.transpose(), mask, desc, semiring, mul, rt);
@@ -112,6 +126,10 @@ where
             bytes
         }
         KernelChoice::Bitmap => {
+            debug_assert!(
+                !kernels::order_sensitive(semiring),
+                "a float ⊕ must never fold through the bitmap accumulator"
+            );
             let (out, bytes) =
                 kernels::scatter_bitmap(&entries, a, a.ncols(), mask, desc, semiring, mul, rt);
             kernels::store_entries_slice(w, &out, desc.replace);
@@ -121,6 +139,10 @@ where
             bytes
         }
         _ => {
+            debug_assert!(
+                !kernels::order_sensitive(semiring),
+                "a float ⊕ must never fold through the dense atomic accumulator"
+            );
             // Dense accumulator over the output dimension: the
             // intermediate the paper's fixed push strategy cannot avoid.
             // With recycling on, the accumulator is an epoch-stamped
@@ -299,7 +321,9 @@ where
     let input_nnz = u.nvals();
 
     let n = a.nrows();
-    let selection = kernels::select_mxv(u, a, mask, desc)?;
+    let overwrite = desc.replace || mask.is_none();
+    let in_place = kernels::pull_in_place(w, overwrite);
+    let selection = kernels::select_mxv(semiring, u, a, mask, desc, in_place)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
             required: kernels::projected_bytes(
@@ -323,20 +347,28 @@ where
             let (out, bytes) =
                 kernels::scatter_sparse(&entries, a.transpose(), mask, desc, semiring, mul, rt);
             kernels::give_entries(entries, rt);
-            kernels::store_entries(w, out, desc.replace || mask.is_none());
+            kernels::store_entries(w, out, overwrite);
             bytes
         }
         KernelChoice::PushDense => {
+            debug_assert!(
+                !kernels::order_sensitive(semiring),
+                "a float ⊕ must never fold through the dense atomic accumulator"
+            );
             let entries = kernels::take_entries(u, rt);
             let mul = |x, av| semiring.mul(av, x);
             let add = |x, y| semiring.add(x, y);
             let (acc, bytes) =
                 kernels::scatter_dense(&entries, a.transpose(), n, mask, desc, add, mul, rt);
             kernels::give_entries(entries, rt);
-            store_accumulator(w, acc, desc.replace || mask.is_none());
+            store_accumulator(w, acc, overwrite);
             bytes
         }
         KernelChoice::Bitmap => {
+            debug_assert!(
+                !kernels::order_sensitive(semiring),
+                "a float ⊕ must never fold through the bitmap accumulator"
+            );
             let entries = kernels::take_entries(u, rt);
             let mul = |x, av| semiring.mul(av, x);
             let (out, bytes) = kernels::scatter_bitmap(
@@ -350,7 +382,7 @@ where
                 rt,
             );
             kernels::give_entries(entries, rt);
-            kernels::store_entries_slice(w, &out, desc.replace || mask.is_none());
+            kernels::store_entries_slice(w, &out, overwrite);
             if crate::workspace::enabled() {
                 rt.workspace().give_vec(crate::workspace::Shelf::Entries, out);
             }
@@ -359,91 +391,8 @@ where
         _ => {
             // Paper-faithful pull: dense value + presence buffers over
             // the output dimension are the kernel's materialization.
-            let udense = u.dense_parts();
-            let bytes =
-                (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
-            let overwrite = desc.replace || mask.is_none();
-            // In the overwrite case `w`'s previous contents are dead, so
-            // recycling can reclaim its dense store as the output buffer;
-            // the merge case must keep them readable below.
-            let (mut vals, mut present) = if overwrite {
-                kernels::take_or_alloc_dense(w, n)
-            } else {
-                (vec![T::ZERO; n], vec![false; n])
-            };
-            {
-                let pv = ParSlice::new(&mut vals);
-                let pp = ParSlice::new(&mut present);
-                if let Some(tile) =
-                    super::tiling::plan(a.ncols(), std::mem::size_of::<T>() + 1)
-                {
-                    let mul = |x, av| semiring.mul(av, x);
-                    // SAFETY: one writer per row — each row belongs to
-                    // exactly one tile task.
-                    let emit = |i: u32, acc: T| unsafe {
-                        perfmon::touch(pv.addr_of(i as usize));
-                        pv.write(i as usize, acc);
-                        pp.write(i as usize, true);
-                    };
-                    super::tiling::pull_rows_tiled(
-                        &tile, u, a, mask, desc, semiring, &mul, false, &emit,
-                    );
-                } else {
-                rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
-                    if let Some(m) = mask {
-                        perfmon::instr(1);
-                        let pass =
-                            m.mask_at(i as u32, desc.mask_structural) != desc.mask_complement;
-                        if !pass {
-                            return;
-                        }
-                    }
-                    let mut acc = semiring.add_identity();
-                    let mut any = false;
-                    for (k, &av) in a.row_pairs(i as u32) {
-                        perfmon::instr(2);
-                        perfmon::touch_ref(&av);
-                        let x = match udense {
-                            Some((uvals, upresent)) => {
-                                perfmon::touch_ref(&uvals[k as usize]);
-                                upresent[k as usize].then(|| uvals[k as usize])
-                            }
-                            None => u.get(k),
-                        };
-                        if let Some(x) = x {
-                            acc = semiring.add(acc, semiring.mul(av, x));
-                            any = true;
-                        }
-                    }
-                    if any {
-                        // SAFETY: one writer per row.
-                        unsafe {
-                            perfmon::touch(pv.addr_of(i));
-                            pv.write(i, acc);
-                            pp.write(i, true);
-                        }
-                    }
-                });
-                }
-            }
-
-            if overwrite {
-                w.set_dense(vals, present);
-            } else {
-                // Merge: keep previous entries where the mask did not pass.
-                let old = std::mem::replace(w, Vector::new(n));
-                let mut merged_vals = vals;
-                let mut merged_present = present;
-                for (i, x) in old.iter() {
-                    perfmon::instr(1);
-                    if !merged_present[i as usize] {
-                        merged_vals[i as usize] = x;
-                        merged_present[i as usize] = true;
-                    }
-                }
-                w.set_dense(merged_vals, merged_present);
-            }
-            bytes
+            let mul = |x, av| semiring.mul(av, x);
+            kernels::pull_dense(w, u, a, mask, desc, semiring, mul, false, overwrite, rt)
         }
     };
     if let Some(span) = span {

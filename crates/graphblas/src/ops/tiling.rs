@@ -22,6 +22,11 @@
 //! accesses differs, which is exactly what the cache model is meant to
 //! see.
 //!
+//! The pull that writes a dense output in place (`kernels::pull_dense`,
+//! every `mxv` and the unmasked replacing `vxm`) runs untiled; tiling
+//! serves the masked pull that emits entries and the dense and bitmap
+//! scatters.
+//!
 //! Tiling rides the workspace gate: `STUDY_WORKSPACE=off` (the
 //! paper-faithful pin) never tiles, so the paper path keeps its exact
 //! loop shape.

@@ -9,6 +9,11 @@ pub trait Scalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
     /// The additive zero of the type (`false` for `bool`).
     const ZERO: Self;
 
+    /// Whether the type is floating point, whose `+` rounds and so is
+    /// not associative: a float sum depends on the order its terms are
+    /// folded in.
+    const IS_FLOAT: bool = false;
+
     /// Encodes the value into 64 bits (inverse of [`Scalar::from_bits64`]).
     fn to_bits64(self) -> u64;
 
@@ -103,6 +108,7 @@ macro_rules! impl_scalar_float {
     ($($t:ty => $bits:ty),*) => {$(
         impl Scalar for $t {
             const ZERO: Self = 0.0;
+            const IS_FLOAT: bool = true;
 
             #[inline]
             fn to_bits64(self) -> u64 {

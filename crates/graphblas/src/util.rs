@@ -1,5 +1,11 @@
 //! Internal parallel-kernel utilities: an atomic generic accumulator and a
 //! disjoint-write slice wrapper.
+//!
+//! The atomic accumulators fold values in the order threads arrive, so
+//! they serve only order-independent ⊕: integer sums and idempotent
+//! monoids (min, max, or). A float sum would round differently from run
+//! to run; SpMV dispatch never sends one here (see
+//! `ops::kernels::order_sensitive`).
 
 use crate::scalar::Scalar;
 use std::marker::PhantomData;
@@ -10,7 +16,8 @@ const LOCKED: u8 = 1;
 const PRESENT: u8 = 2;
 
 /// A dense, lock-free accumulator for SAXPY-style kernels: any thread may
-/// fold a value into any slot with the semiring's ⊕.
+/// fold a value into any slot with the semiring's ⊕. Arrival order
+/// decides the fold order, so only an order-independent ⊕ may use it.
 ///
 /// Values are stored as their 64-bit encodings ([`Scalar::to_bits64`]);
 /// slot initialization is guarded by a tiny per-slot state machine so the
@@ -112,7 +119,9 @@ impl<T: Scalar> AtomicAccumulator<T> {
 ///
 /// Draining scans the word array (one instruction per word, one per set
 /// bit) instead of one instruction per slot, which is what makes the
-/// bitmap representation win on dense frontiers.
+/// bitmap representation win on dense frontiers. Like
+/// [`AtomicAccumulator`] it folds in arrival order, so it serves only an
+/// order-independent ⊕.
 pub(crate) struct BitmapAccumulator<T> {
     bits: Vec<AtomicU64>,
     words: Vec<AtomicU64>,

@@ -343,7 +343,8 @@ const SPARSE_DRAIN_DIVISOR: usize = 8;
 /// counterpart of `util::AtomicAccumulator`. Any thread folds values
 /// into any slot with the semiring's ⊕; clearing between ops is a
 /// generation bump, and draining a sparsely touched epoch walks the
-/// first-writer undo list instead of all `n` slots.
+/// first-writer undo list instead of all `n` slots. It folds in arrival
+/// order, so it serves only an order-independent ⊕.
 pub(crate) struct EpochAcc {
     bits: Vec<AtomicU64>,
     stamp: Vec<AtomicU32>,
@@ -489,21 +490,23 @@ impl Default for EpochAcc {
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// Splits `0..flops.len()` into contiguous ranges of approximately equal
-/// summed flops (never more than `parts` ranges, never an empty range).
-pub(crate) fn balanced_ranges(flops: &[u64], parts: usize) -> Vec<Range<usize>> {
+/// summed flops (never more than `parts` ranges, never an empty range),
+/// appended to `ranges` (a pooled buffer, so the split allocates nothing
+/// once warm).
+pub(crate) fn balanced_ranges(flops: &[u64], parts: usize, ranges: &mut Vec<Range<usize>>) {
     let n = flops.len();
     let total: u64 = flops.iter().sum();
     let parts = parts.clamp(1, n.max(1));
     if n == 0 {
-        return Vec::new();
+        return;
     }
     let target = total / parts as u64 + 1;
-    let mut ranges = Vec::with_capacity(parts);
+    let first = ranges.len();
     let mut start = 0usize;
     let mut acc = 0u64;
     for (i, &w) in flops.iter().enumerate() {
         acc += w;
-        if acc >= target && ranges.len() + 1 < parts {
+        if acc >= target && ranges.len() - first + 1 < parts {
             ranges.push(start..i + 1);
             start = i + 1;
             acc = 0;
@@ -512,7 +515,6 @@ pub(crate) fn balanced_ranges(flops: &[u64], parts: usize) -> Vec<Range<usize>> 
     if start < n {
         ranges.push(start..n);
     }
-    ranges
 }
 
 /// Runs `f(i)` for every `i` in `0..n`, partitioned into equal-flops
@@ -552,7 +554,7 @@ where
     flops.extend((0..n).map(&flops_of));
     let parts = galois_rt::threads() * CHUNKS_PER_THREAD;
     let mut ranges: Vec<Range<usize>> = ws.take_vec(Shelf::Ranges, parts.min(n));
-    ranges.extend(balanced_ranges(&flops, parts));
+    balanced_ranges(&flops, parts, &mut ranges);
     let total: u64 = flops.iter().sum();
     note_work(total, ranges.len() as u64);
     galois_rt::do_all_range_tasks(&ranges, f);
@@ -681,13 +683,19 @@ mod tests {
         assert_eq!(acc.get::<u64>(1), Some(2));
     }
 
+    fn ranges_of(flops: &[u64], parts: usize) -> Vec<Range<usize>> {
+        let mut ranges = Vec::new();
+        balanced_ranges(flops, parts, &mut ranges);
+        ranges
+    }
+
     #[test]
     fn balanced_ranges_cover_exactly_once_and_balance_skew() {
         // One heavy head plus a light tail — row-count chunking would
         // put the whole head in one chunk with most of the work.
         let mut flops = vec![1u64; 64];
         flops[0] = 1000;
-        let ranges = balanced_ranges(&flops, 4);
+        let ranges = ranges_of(&flops, 4);
         assert!(ranges.len() <= 4 && !ranges.is_empty());
         let mut seen = [false; 64];
         for r in &ranges {
@@ -702,9 +710,9 @@ mod tests {
 
     #[test]
     fn balanced_ranges_degenerate_inputs() {
-        assert!(balanced_ranges(&[], 4).is_empty());
-        assert_eq!(balanced_ranges(&[0, 0, 0], 4), vec![0..3]);
-        let one = balanced_ranges(&[5], 8);
+        assert!(ranges_of(&[], 4).is_empty());
+        assert_eq!(ranges_of(&[0, 0, 0], 4), vec![0..3]);
+        let one = ranges_of(&[5], 8);
         assert_eq!(one, vec![0..1]);
     }
 

@@ -236,7 +236,7 @@ fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
         prop_assert_eq!(run_vxm(hint), base.clone(), "{} vxm {:?}", name, hint);
     }
     prop_assert_eq!(run_vxm(KernelHint::Auto), base.clone(), "{} vxm auto", name);
-    let delegate = hint_of(ops::vxm_kernel_choice(u, a, m, &desc).unwrap());
+    let delegate = hint_of(ops::vxm_kernel_choice(semiring, u, a, m, &desc).unwrap());
     prop_assert_eq!(
         run_vxm(delegate),
         base.clone(),
@@ -259,7 +259,7 @@ fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
         prop_assert_eq!(run_mxv(hint), base.clone(), "{} mxv {:?}", name, hint);
     }
     prop_assert_eq!(run_mxv(KernelHint::Auto), base.clone(), "{} mxv auto", name);
-    let delegate = hint_of(ops::mxv_kernel_choice(u, a, m, &desc).unwrap());
+    let delegate = hint_of(ops::mxv_kernel_choice(semiring, u, a, m, &desc).unwrap());
     prop_assert_eq!(
         run_mxv(delegate),
         base.clone(),
@@ -423,7 +423,181 @@ fn kernels_agree_across_thread_counts() {
             Ok(())
         },
     );
+    // A float ⊕ rounds, so its sum depends on fold order: every kernel
+    // hint must reproduce the serial fold in ascending source order bit
+    // for bit, at every thread count. The operands are large and dense
+    // enough that the parallel loops really split and many sources
+    // collide on each output.
+    prop::check(
+        "kernels_agree_across_thread_counts_f64",
+        prop::cases(8),
+        |g| (arb_f64_matrix(g), arb_f64_vector(g), arb_mask_of(g, NF)),
+        |(a, u, mask)| {
+            let folds = serial_folds(a, u);
+            for masked in [false, true] {
+                for complement in [false, true] {
+                    for replace in [false, true] {
+                        for structural in [false, true] {
+                            if !masked && (complement || structural) {
+                                continue;
+                            }
+                            let desc = Descriptor::new()
+                                .with_mask_complement(complement)
+                                .with_replace(replace)
+                                .with_mask_structural(structural);
+                            let m: Option<&Vector<u64>> = masked.then_some(mask);
+                            for threads in [1usize, 2, 8] {
+                                galois_rt::set_threads(threads);
+                                assert_f64_kernels_fold_serially(threads, a, u, m, desc, &folds)?;
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
     galois_rt::set_threads(saved_threads);
+}
+
+/// Dimension of the f64 kernel operands.
+const NF: usize = 400;
+
+/// A value of either sign spanning many binades, so that the rounding of
+/// a sum depends on the order of its terms; one in ten is `±0.0`, so
+/// outputs whose only terms are `-0.0` (which sum to `+0.0` from the
+/// identity) occur too.
+fn arb_f64(g: &mut Gen) -> f64 {
+    let sign = if g.gen_bool(0.5) { -1.0 } else { 1.0 };
+    if g.gen_bool(0.1) {
+        return sign * 0.0;
+    }
+    sign * (0.5 + g.gen_f64()) * 2f64.powi(g.gen_range(-20i32..20))
+}
+
+fn arb_f64_matrix(g: &mut Gen) -> Matrix<f64> {
+    let t = g.vec(2000..6000, |g| {
+        (
+            g.gen_range(0u32..NF as u32),
+            g.gen_range(0u32..NF as u32),
+            arb_f64(g),
+        )
+    });
+    Matrix::from_tuples(NF, NF, t, Plus).expect("in-range tuples")
+}
+
+fn arb_f64_vector(g: &mut Gen) -> Vector<f64> {
+    let entries = g.gen_range(0..NF);
+    let mut m = std::collections::BTreeMap::new();
+    for _ in 0..entries {
+        m.insert(g.gen_range(0u32..NF as u32), arb_f64(g));
+    }
+    let dense = g.gen_bool(0.5);
+    let mut v = Vector::from_entries(NF, m.into_iter().collect()).expect("unique, in-range");
+    if dense {
+        v.to_dense();
+    }
+    v
+}
+
+/// [`arb_mask`] over dimension `n`.
+fn arb_mask_of(g: &mut Gen, n: usize) -> Vector<u64> {
+    let entries = g.gen_range(0..n);
+    let mut m = std::collections::BTreeMap::new();
+    for _ in 0..entries {
+        m.insert(g.gen_range(0u32..n as u32), g.gen_range(0u64..3));
+    }
+    Vector::from_entries(n, m.into_iter().collect()).expect("unique, in-range")
+}
+
+/// The serial references for `plus_times` over f64, as bit patterns per
+/// output: `vxm` (`w(j) = ⊕_i u(i)·a(i,j)`) and `mxv` (`w(i) = ⊕_k
+/// a(i,k)·u(k)`), each output folding its terms from `0.0` in ascending
+/// source order.
+fn serial_folds(a: &Matrix<f64>, u: &Vector<f64>) -> [Vec<(u32, u64)>; 2] {
+    [false, true].map(|mxv| {
+        (0..NF as u32)
+            .filter_map(|out| {
+                let mut acc = None;
+                for src in 0..NF as u32 {
+                    let (r, c) = if mxv { (out, src) } else { (src, out) };
+                    if let (Some(av), Some(x)) = (a.get(r, c), u.get(src)) {
+                        acc = Some(acc.unwrap_or(0.0) + x * av);
+                    }
+                }
+                acc.map(|v: f64| (out, v.to_bits()))
+            })
+            .collect()
+    })
+}
+
+/// Every kernel hint, on `vxm` and `mxv` and on both runtimes, must give
+/// the serial ascending-source folds restricted to what the mask admits,
+/// bit for bit.
+fn assert_f64_kernels_fold_serially(
+    threads: usize,
+    a: &Matrix<f64>,
+    u: &Vector<f64>,
+    m: Option<&Vector<u64>>,
+    desc: Descriptor,
+    folds: &[Vec<(u32, u64)>; 2],
+) -> Result<(), String> {
+    const HINTS: [KernelHint; 5] = [
+        KernelHint::PushDense,
+        KernelHint::PushSparse,
+        KernelHint::Pull,
+        KernelHint::Bitmap,
+        KernelHint::Auto,
+    ];
+    let admits = |j: u32| match m {
+        None => true,
+        Some(m) => {
+            let hit = m.get(j).is_some_and(|v| desc.mask_structural || v != 0);
+            hit != desc.mask_complement
+        }
+    };
+    let [want_vxm, want_mxv] = folds.clone().map(|f| {
+        f.into_iter()
+            .filter(|&(j, _)| admits(j))
+            .collect::<Vec<_>>()
+    });
+    let bits = |w: &Vector<f64>| -> Vec<(u32, u64)> {
+        w.entries()
+            .into_iter()
+            .map(|(j, v)| (j, v.to_bits()))
+            .collect()
+    };
+    for hint in HINTS {
+        let d = desc.with_kernel(hint);
+        for static_rt in [false, true] {
+            let mut w: Vector<f64> = Vector::new(NF);
+            let mut x: Vector<f64> = Vector::new(NF);
+            if static_rt {
+                ops::vxm(&mut w, m, PlusTimes, u, a, &d, StaticRuntime).unwrap();
+                ops::mxv(&mut x, m, PlusTimes, a, u, &d, StaticRuntime).unwrap();
+            } else {
+                ops::vxm(&mut w, m, PlusTimes, u, a, &d, GaloisRuntime).unwrap();
+                ops::mxv(&mut x, m, PlusTimes, a, u, &d, GaloisRuntime).unwrap();
+            }
+            prop_assert_eq!(
+                bits(&w),
+                want_vxm.clone(),
+                "f64 vxm {:?} at {} threads (static: {})",
+                hint,
+                threads,
+                static_rt
+            );
+            prop_assert_eq!(
+                bits(&x),
+                want_mxv.clone(),
+                "f64 mxv {:?} at {} threads (static: {})",
+                hint,
+                threads,
+                static_rt
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Collects the vxm/mxv outputs for one semiring across every

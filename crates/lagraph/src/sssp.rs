@@ -40,6 +40,18 @@ pub fn sssp_delta_stepping<R: Runtime>(
     delta: u64,
     rt: R,
 ) -> Result<SsspResult, GrbError> {
+    delta_stepping(g, src, delta, rt, |_| {})
+}
+
+/// [`sssp_delta_stepping`], handing the distance vector to `on_round`
+/// after each inner round folds its improvements in.
+fn delta_stepping<R: Runtime>(
+    g: &CsrGraph,
+    src: NodeId,
+    delta: u64,
+    rt: R,
+    mut on_round: impl FnMut(&Vector<u64>),
+) -> Result<SsspResult, GrbError> {
     assert!(delta > 0, "delta must be positive");
     let n = g.num_nodes();
     let a: Matrix<u64> = Matrix::from_graph(g, u64::from);
@@ -48,6 +60,9 @@ pub fn sssp_delta_stepping<R: Runtime>(
     ops::assign_scalar(&mut dist, None::<&Vector<bool>>, u64::MAX, &Descriptor::new(), rt)?;
     dist.set(src, 0)?;
 
+    // Fold target, hoisted so each round recycles the previous distance
+    // vector's dense store.
+    let mut next: Vector<u64> = Vector::new(n);
     let mut bucket = 0u64;
     let mut buckets = 0u32;
     let mut rounds = 0u32;
@@ -85,9 +100,9 @@ pub fn sssp_delta_stepping<R: Runtime>(
                 break;
             }
             // Pass 3: fold the improvements into dist.
-            let mut next: Vector<u64> = Vector::new(n);
             ops::ewise_add(&mut next, Min, &dist, &improved, rt)?;
-            dist = next;
+            std::mem::swap(&mut dist, &mut next);
+            on_round(&dist);
             // Pass 4: re-activate improved vertices still in this bucket.
             let mut next_active: Vector<u64> = Vector::new(n);
             ops::select_vector(&mut next_active, &improved, |_, v| v < upper, rt);
@@ -227,12 +242,15 @@ mod tests {
     fn matches_dijkstra_on_random_graph() {
         let g = graph::gen::erdos_renyi(150, 600, 9).with_random_weights(50, 9);
         let r = sssp_delta_stepping(&g, 0, 16, GaloisRuntime).unwrap();
-        // simple serial Dijkstra reference
-        let n = g.num_nodes();
-        let mut dist = vec![u64::MAX; n];
-        dist[0] = 0;
+        assert_eq!(r.dist, dijkstra(&g, 0));
+    }
+
+    /// Serial Dijkstra over `g`'s weighted out-edges.
+    fn dijkstra(g: &CsrGraph, src: NodeId) -> Vec<u64> {
+        let mut dist = vec![u64::MAX; g.num_nodes()];
+        dist[src as usize] = 0;
         let mut heap = std::collections::BinaryHeap::new();
-        heap.push(std::cmp::Reverse((0u64, 0u32)));
+        heap.push(std::cmp::Reverse((0u64, src)));
         while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
             if d > dist[v as usize] {
                 continue;
@@ -245,7 +263,23 @@ mod tests {
                 }
             }
         }
-        assert_eq!(r.dist, dist);
+        dist
+    }
+
+    #[test]
+    fn road_grid_dist_stays_dense_and_matches_dijkstra() {
+        // Many small rounds on a road grid: every fold of the (sparse)
+        // improvements into the (dense) distances must keep them dense,
+        // so the improvement filter's `dist.get` stays a slot read.
+        let g = graph::gen::grid_road(12, 9, 4);
+        let mut rounds = 0u32;
+        let r = delta_stepping(&g, 0, 1 << 6, GaloisRuntime, |dist| {
+            rounds += 1;
+            assert!(dist.is_dense_store(), "dist went sparse in round {rounds}");
+        })
+        .unwrap();
+        assert!(rounds > 1, "the grid needs several folding rounds");
+        assert_eq!(r.dist, dijkstra(&g, 0));
     }
 
     #[test]

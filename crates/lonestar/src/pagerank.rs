@@ -248,10 +248,10 @@ mod tests {
         let gt = transpose(&g);
         let deg = degrees(&g);
         let ls = pagerank(&gt, &deg, 10);
-        let gb = lagraph::pagerank::pagerank(&g, 10, graphblas::GaloisRuntime).unwrap();
+        let gb = lagraph::pagerank::pagerank(&gt, &deg, 10, graphblas::GaloisRuntime).unwrap();
         assert!(close(&ls, &gb, 1e-12), "fused and bulk must agree");
         let gb_res =
-            lagraph::pagerank::pagerank_residual(&g, 10, graphblas::GaloisRuntime).unwrap();
+            lagraph::pagerank::pagerank_residual(&gt, &deg, 10, graphblas::GaloisRuntime).unwrap();
         assert!(close(&ls, &gb_res, 1e-12));
     }
 

@@ -23,6 +23,9 @@
 //!    compacted snapshots, and re-grouping the same ops into different
 //!    batch partitions never changes the compacted graph or the repaired
 //!    answers.
+//! 6. Float ranks are configuration-independent: SS and GB pr, ppr and
+//!    pr-inc are bit-identical across thread counts, kernel modes and
+//!    workspace modes.
 
 use graph_api_study::galois_rt;
 use graph_api_study::graph::gen::{
@@ -118,7 +121,7 @@ fn algorithm_results_do_not_depend_on_thread_count() {
             .component
     });
     across_thread_counts("lagraph pagerank scores", || {
-        lagraph::pagerank::pagerank(&g, 10, GaloisRuntime).unwrap()
+        lagraph::pagerank::pagerank(&gt, &deg, 10, GaloisRuntime).unwrap()
     });
 }
 
@@ -276,6 +279,89 @@ fn incremental_replay_is_fingerprint_identical() {
             );
         }
     }
+}
+
+/// Float ranks are bit-identical in every configuration: a float ⊕
+/// never folds through an arrival-order accumulator, so SS and GB `pr`,
+/// `ppr` and `pr-inc` return the serial fold's bits at 1, 2 and 8
+/// threads, under every kernel mode, with workspace recycling on or off.
+#[test]
+fn float_ranks_are_bit_identical_across_threads_kernels_and_workspaces() {
+    use graph_api_study::graph::{Scale, StudyGraph};
+    use graph_api_study::graphblas::ops::{self, KernelMode};
+    use graph_api_study::graphblas::{self, StaticRuntime, WorkspaceMode};
+    use graph_api_study::study_core::{
+        try_run, try_run_incremental, update_batches, IncProblem, PreparedGraph, Problem,
+        ProblemOutput, System,
+    };
+
+    fn bits(ranks: &[f64]) -> Vec<u64> {
+        ranks.iter().map(|x| x.to_bits()).collect()
+    }
+    fn ranks(out: ProblemOutput) -> Vec<u64> {
+        match out {
+            ProblemOutput::Ranks(r) => bits(&r),
+            other => panic!("expected ranks, got {other:?}"),
+        }
+    }
+
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
+    let updates = update_batches(&p.graph, 2, 12, 21);
+    let run_all = || {
+        let mut out = Vec::new();
+        for system in [System::SuiteSparse, System::GaloisBlas] {
+            let pr = try_run(system, Problem::Pr, &p).unwrap();
+            out.push((format!("{system} pr"), ranks(pr)));
+            let ppr = match system {
+                System::SuiteSparse => {
+                    lagraph::pagerank::ppr(&p.graph, p.source, p.pr_iters, StaticRuntime)
+                }
+                _ => lagraph::pagerank::ppr(&p.graph, p.source, p.pr_iters, GaloisRuntime),
+            };
+            out.push((format!("{system} ppr"), bits(&ppr.unwrap())));
+            let inc = try_run_incremental(system, IncProblem::Pr, &p, &updates).unwrap();
+            out.push((format!("{system} pr-inc"), ranks(inc.output)));
+        }
+        out
+    };
+
+    let saved = (
+        galois_rt::threads(),
+        ops::kernel_mode(),
+        graphblas::workspace_mode(),
+    );
+    let mut expected: Option<Vec<(String, Vec<u64>)>> = None;
+    for threads in [1usize, 2, 8] {
+        for mode in [
+            KernelMode::Auto,
+            KernelMode::Push,
+            KernelMode::Pull,
+            KernelMode::Bitmap,
+        ] {
+            for ws in [WorkspaceMode::On, WorkspaceMode::Off] {
+                galois_rt::set_threads(threads);
+                ops::set_kernel_mode(mode);
+                graphblas::set_workspace_mode(ws);
+                let got = run_all();
+                match &expected {
+                    None => expected = Some(got),
+                    Some(want) => {
+                        for ((what, a), (_, b)) in got.iter().zip(want) {
+                            assert!(
+                                a == b,
+                                "{what} differs at threads={threads} mode={mode:?} \
+                                 workspace={ws:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    galois_rt::set_threads(saved.0);
+    ops::set_kernel_mode(saved.1);
+    graphblas::set_workspace_mode(saved.2);
 }
 
 /// Batch-partition invariance: one update stream split into different

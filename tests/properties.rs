@@ -160,8 +160,10 @@ fn batched_columns_are_bit_identical_to_serial() {
         ] {
             ops::set_kernel_mode(mode);
             // Serial answers per source, computed once per (graph, mode):
-            // thread count cannot change them (the determinism suite pins
-            // that), so every thread sweep compares against the same bits.
+            // thread count cannot change them (for the float ranks,
+            // `determinism::float_ranks_are_bit_identical_across_threads_kernels_and_workspaces`
+            // pins that), so every thread sweep compares against the same
+            // bits.
             let mut serial_bfs = HashMap::new();
             let mut serial_ppr = HashMap::new();
             let mut serial_sssp = HashMap::new();
@@ -226,7 +228,7 @@ fn pagerank_variants_agree() {
         let gt = graph_api_study::graph::transform::transpose(g);
         let deg: Vec<u32> = (0..g.num_nodes() as u32).map(|v| g.out_degree(v) as u32).collect();
         let ls = lonestar::pagerank::pagerank(&gt, &deg, 10);
-        let gb = lagraph::pagerank::pagerank(g, 10, GaloisRuntime).unwrap();
+        let gb = lagraph::pagerank::pagerank(&gt, &deg, 10, GaloisRuntime).unwrap();
         for (a, b) in ls.iter().zip(gb.iter()) {
             prop_assert!((a - b).abs() < 1e-10, "pr mismatch: {} vs {}", a, b);
         }
